@@ -22,6 +22,7 @@
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
 #include "scidive/trail_manager.h"
+#include "sip/auth.h"
 #include "sip/message.h"
 #include "sip/sdp.h"
 
@@ -77,6 +78,58 @@ std::string make_invite_text() {
   return m.to_string();
 }
 
+/// A REGISTER carrying digest credentials (the retry after a challenge).
+std::string make_register_auth_text() {
+  auto m = sip::SipMessage::request(sip::Method::kRegister, sip::SipUri("", "lab.net"));
+  m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-r2");
+  m.headers().add("Max-Forwards", "70");
+  m.headers().add("From", "<sip:alice@lab.net>;tag=tr");
+  m.headers().add("To", "<sip:alice@lab.net>");
+  m.headers().add("Call-ID", "bench-reg-1");
+  m.headers().add("CSeq", "2 REGISTER");
+  m.headers().add("Contact", "<sip:alice@10.0.0.1:5060>");
+  m.headers().add("Expires", "3600");
+  sip::DigestCredentials creds;
+  creds.username = "alice";
+  creds.realm = "lab.net";
+  creds.nonce = "5f2c9a1e";
+  creds.uri = "sip:lab.net";
+  creds.response = "0123456789abcdef0123456789abcdef";
+  m.headers().add("Authorization", creds.to_header_value());
+  return m.to_string();
+}
+
+/// The registrar's 401 challenge.
+std::string make_401_text() {
+  auto m = sip::SipMessage::response(401, "Unauthorized");
+  m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-r1");
+  m.headers().add("From", "<sip:alice@lab.net>;tag=tr");
+  m.headers().add("To", "<sip:alice@lab.net>;tag=reg");
+  m.headers().add("Call-ID", "bench-reg-1");
+  m.headers().add("CSeq", "1 REGISTER");
+  m.headers().add("WWW-Authenticate", sip::DigestChallenge{"lab.net", "5f2c9a1e"}.to_header_value());
+  return m.to_string();
+}
+
+/// The SIP micro-bench arms: Arg(0) INVITE with SDP, Arg(1) REGISTER with
+/// Authorization, Arg(2) 401 with WWW-Authenticate — the message shapes of
+/// the carrier mix's call setup and registration churn.
+std::string sip_arm_text(int64_t arm) {
+  switch (arm) {
+    case 1: return make_register_auth_text();
+    case 2: return make_401_text();
+    default: return make_invite_text();
+  }
+}
+
+const char* sip_arm_label(int64_t arm) {
+  switch (arm) {
+    case 1: return "register+auth";
+    case 2: return "401+challenge";
+    default: return "invite+sdp";
+  }
+}
+
 /// INVITE + 200 OK so the bench call's media correlates into a session.
 void establish_bench_call(core::ScidiveEngine& engine) {
   auto invite = pkt::make_udp_packet(kASip, kBSip, from_string(make_invite_text()));
@@ -119,14 +172,15 @@ pkt::Packet make_rtp_pkt(uint16_t seq) {
 }
 
 void BM_SipParse(benchmark::State& state) {
-  std::string text = make_invite_text();
+  std::string text = sip_arm_text(state.range(0));
   for (auto _ : state) {
     auto msg = sip::SipMessage::parse(text);
     benchmark::DoNotOptimize(msg);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+  state.SetLabel(sip_arm_label(state.range(0)));
 }
-BENCHMARK(BM_SipParse);
+BENCHMARK(BM_SipParse)->DenseRange(0, 2);
 
 void BM_SipSerialize(benchmark::State& state) {
   auto msg = sip::SipMessage::parse(make_invite_text()).value();
@@ -181,14 +235,35 @@ BENCHMARK(BM_Ipv4Checksum);
 
 void BM_DistillSipPacket(benchmark::State& state) {
   core::Distiller distiller;
-  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(make_invite_text()));
+  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(sip_arm_text(state.range(0))));
   for (auto _ : state) {
     auto fp = distiller.distill(p);
     benchmark::DoNotOptimize(fp);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * p.data.size()));
+  state.SetLabel(sip_arm_label(state.range(0)));
 }
-BENCHMARK(BM_DistillSipPacket);
+BENCHMARK(BM_DistillSipPacket)->DenseRange(0, 2);
+
+/// Allocations per distilled SIP packet, per arm. The footprint's own
+/// strings (Call-ID, AORs, tags, digest response — trails outlive the
+/// datagram) and its box are the floor; the scan itself copies nothing.
+/// scripts/check_allocs.py holds every arm to a ceiling.
+void BM_DistillSipPacketAllocs(benchmark::State& state) {
+  core::Distiller distiller;
+  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(sip_arm_text(state.range(0))));
+  for (int i = 0; i < 100; ++i) benchmark::DoNotOptimize(distiller.distill(p));
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto fp = distiller.distill(p);
+    benchmark::DoNotOptimize(fp);
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetLabel(sip_arm_label(state.range(0)));
+}
+BENCHMARK(BM_DistillSipPacketAllocs)->DenseRange(0, 2);
 
 void BM_DistillRtpPacket(benchmark::State& state) {
   core::Distiller distiller;

@@ -25,7 +25,13 @@ hits / measured iterations). It must stay near 1.0 — a zero-alloc run
 with share ~0 means the fast path silently disengaged and the benchmark
 is measuring the slow path twice, so that is a failure too.
 
-Exit status is non-zero if any guarded benchmark exceeds the threshold
+BM_DistillSipPacketAllocs (INVITE with SDP, REGISTER with Authorization,
+401 with WWW-Authenticate) is held to a per-benchmark ceiling instead of
+zero: a SIP footprint owns its Call-ID, AORs, tags and digest response
+because trails outlive the datagram, so the box plus those strings are
+the floor. The single-pass view scan itself must add nothing on top.
+
+Exit status is non-zero if any guarded benchmark exceeds its threshold
 or is missing from the JSON (so a renamed/deleted benchmark cannot
 silently disable the guard).
 """
@@ -49,6 +55,11 @@ GUARDED = [
     "BM_EngineRtpVerdictAllocs",
 ]
 
+# Benchmark-name prefixes held to a non-zero allocs/op ceiling (every arm).
+CEILINGS = {
+    "BM_DistillSipPacketAllocs": 6.0,
+}
+
 # Minimum fraction of measured iterations that must take the fast-path
 # bypass in benchmarks reporting a bypassed_share counter. Guards against
 # the vacuous pass where the bypass disengages but the slow path also
@@ -64,7 +75,9 @@ def main(path: str) -> int:
             if b.get("run_type", "iteration") == "iteration"]
 
     status = 0
-    seen = {g: 0 for g in GUARDED}
+    limits = {g: EPSILON for g in GUARDED}
+    limits.update(CEILINGS)
+    seen = {g: 0 for g in limits}
     for run in runs:
         name = run.get("name", "")
         base = name.split("/")[0]
@@ -76,9 +89,10 @@ def main(path: str) -> int:
             print(f"FAIL {name}: no allocs_per_op counter in JSON")
             status = 1
             continue
-        if allocs > EPSILON:
+        limit = limits[base]
+        if allocs > limit:
             print(f"FAIL {name}: allocs_per_op = {allocs:.6g} "
-                  f"(threshold {EPSILON})")
+                  f"(threshold {limit})")
             status = 1
         else:
             print(f"OK   {name}: allocs_per_op = {allocs:.6g}")
@@ -99,7 +113,8 @@ def main(path: str) -> int:
             status = 1
 
     if status == 0:
-        print("allocation guard: all hot paths at zero allocs/op")
+        print("allocation guard: RTP hot paths at zero allocs/op, "
+              "SIP distill within its ceiling")
     return status
 
 

@@ -1,5 +1,8 @@
 #include "common/bytes.h"
 
+#include <bit>
+#include <cstring>
+
 namespace scidive {
 
 std::string to_hex(std::span<const uint8_t> data) {
@@ -23,12 +26,33 @@ std::string to_string_view_copy(std::span<const uint8_t> data) {
 }
 
 uint16_t internet_checksum(std::span<const uint8_t> data, uint32_t initial) {
-  uint32_t sum = initial;
-  size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+  uint64_t sum = initial;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  if constexpr (std::endian::native == std::endian::little) {
+    // RFC 1071 §2(B): the ones'-complement sum is byte-order independent, so
+    // sum native 32-bit words and swap the folded result once at the end
+    // (instead of assembling big-endian 16-bit words byte by byte).
+    uint64_t native = 0;
+    for (; n >= 4; p += 4, n -= 4) {
+      uint32_t w;
+      std::memcpy(&w, p, 4);
+      native += w;
+    }
+    if (n >= 2) {
+      uint16_t w;
+      std::memcpy(&w, p, 2);
+      native += w;
+      p += 2;
+      n -= 2;
+    }
+    if (n == 1) native += *p;  // a trailing byte is the high byte of a zero-padded word
+    while (native >> 16) native = (native & 0xffff) + (native >> 16);
+    sum += static_cast<uint16_t>(native << 8 | native >> 8);
+  } else {
+    for (; n >= 2; p += 2, n -= 2) sum += static_cast<uint32_t>(p[0]) << 8 | p[1];
+    if (n == 1) sum += static_cast<uint32_t>(p[0]) << 8;
   }
-  if (i < data.size()) sum += static_cast<uint32_t>(data[i]) << 8;
   while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
   return static_cast<uint16_t>(~sum);
 }

@@ -9,17 +9,40 @@
 
 namespace scidive::str {
 
+// ASCII character classes. The wire protocols are ASCII, and these match
+// the C-locale <cctype> answers without a call through the locale tables.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+constexpr bool is_alnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr char to_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c; }
+
 /// Remove leading and trailing ASCII whitespace.
-std::string_view trim(std::string_view s);
+inline std::string_view trim(std::string_view s) {
+  size_t b = 0, e = s.size();
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 
 /// ASCII lower-case copy.
 std::string to_lower(std::string_view s);
 
 /// Case-insensitive ASCII comparison.
-bool iequals(std::string_view a, std::string_view b);
+inline bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (to_lower(a[i]) != to_lower(b[i])) return false;
+  }
+  return true;
+}
 
 /// Case-insensitive prefix test.
-bool istarts_with(std::string_view s, std::string_view prefix);
+inline bool istarts_with(std::string_view s, std::string_view prefix) {
+  return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
+}
 
 /// Index of the first `needle` byte at or after `from`; npos when absent.
 /// 16-bytes-per-iteration SSE2 scan (SWAR fallback elsewhere) — the SIP
@@ -33,6 +56,34 @@ size_t find_crlf(std::string_view s, size_t from = 0);
 
 /// Split on a separator character. Empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);
+
+/// Lazy split(): yields exactly the fields split() would, in order, as views
+/// and without building a vector. rest() is the unsplit remainder.
+class SplitCursor {
+ public:
+  SplitCursor(std::string_view s, char sep) : rest_(s), sep_(sep) {}
+
+  bool next(std::string_view& field) {
+    if (done_) return false;
+    const size_t pos = find_byte(rest_, sep_);
+    if (pos == std::string_view::npos) {
+      field = rest_;
+      rest_ = {};
+      done_ = true;
+    } else {
+      field = rest_.substr(0, pos);
+      rest_.remove_prefix(pos + 1);
+    }
+    return true;
+  }
+  std::string_view rest() const { return rest_; }
+  bool done() const { return done_; }
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+};
 
 /// Split on the first occurrence of sep. Returns nullopt if sep is absent.
 std::optional<std::pair<std::string_view, std::string_view>> split_once(std::string_view s,

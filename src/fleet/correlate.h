@@ -4,12 +4,14 @@
 // sub-threshold on every node: a REGISTER flood or digest-guessing run
 // spread across N capture points looks like N quiet trickles until the
 // per-node partial counters are merged. Each node keeps cumulative
-// per-window partials keyed by SOURCE ADDRESS (not AOR — principal routing
-// already concentrates one AOR's traffic on one node; what genuinely
-// splits across nodes is one source hammering many identities) and gossips
-// each advance. Partials merge with max(), which is idempotent under
-// re-delivery and reordering, and only the ring owner of a key raises the
-// alert — exactly once per (kind, key, window) fleet-wide.
+// per-window partials keyed by the requester's ADDRESS (not AOR — principal
+// routing already concentrates one AOR's traffic on one node; what
+// genuinely splits across nodes is one source hammering many identities):
+// the event endpoint, which is the REGISTER's source and, for an auth
+// failure, the 401's destination rather than the registrar that sent it.
+// Each node gossips each advance. Partials merge with max(), which is
+// idempotent under re-delivery and reordering, and only the ring owner of a
+// key raises the alert — exactly once per (kind, key, window) fleet-wide.
 //
 // VouchStore holds host-based ground truth received from peers (the
 // coop fake-IM vouch generalized to BYE/re-INVITE): "this client really

@@ -17,7 +17,8 @@
 namespace scidive::fuzz {
 
 /// SIP message grammar: SipMessage::parse + reserialization + the lazy
-/// structured-header accessors.
+/// structured-header accessors. The libFuzzer driver additionally requires
+/// the Distiller's footprint to match the reference decoder's.
 int fuzz_sip_message(const uint8_t* data, size_t size);
 
 /// SDP body parser.

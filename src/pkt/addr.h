@@ -21,16 +21,29 @@ class Ipv4Address {
       : value_(static_cast<uint32_t>(a) << 24 | static_cast<uint32_t>(b) << 16 |
                static_cast<uint32_t>(c) << 8 | d) {}
 
+  /// Dotted quad: exactly four '.'-separated decimal fields, each 0..255
+  /// (leading zeros allowed). One pass, no allocation.
   static std::optional<Ipv4Address> parse(std::string_view s) {
-    auto parts = str::split(s, '.');
-    if (parts.size() != 4) return std::nullopt;
     uint32_t v = 0;
-    for (auto part : parts) {
-      auto octet = str::parse_u32(part);
-      if (!octet || *octet > 255) return std::nullopt;
-      v = (v << 8) | *octet;
+    uint32_t octet = 0;
+    size_t digits = 0;
+    size_t dots = 0;
+    for (char c : s) {
+      if (c >= '0' && c <= '9') {
+        octet = octet * 10 + static_cast<uint32_t>(c - '0');
+        if (octet > 255) return std::nullopt;
+        ++digits;
+      } else if (c == '.' && digits > 0 && dots < 3) {
+        v = (v << 8) | octet;
+        octet = 0;
+        digits = 0;
+        ++dots;
+      } else {
+        return std::nullopt;
+      }
     }
-    return Ipv4Address(v);
+    if (dots != 3 || digits == 0) return std::nullopt;
+    return Ipv4Address((v << 8) | octet);
   }
 
   constexpr uint32_t value() const { return value_; }

@@ -42,5 +42,7 @@ struct UdpPacketView {
 /// Parse IPv4+UDP in one step (checksums verified). Fails on fragments;
 /// callers must reassemble first (see pkt/fragment.h).
 Result<UdpPacketView> parse_udp_packet(std::span<const uint8_t> datagram);
+/// The same, for a datagram whose IPv4 header the caller already parsed.
+Result<UdpPacketView> parse_udp_packet(const Ipv4View& ip);
 
 }  // namespace scidive::pkt

@@ -5,8 +5,6 @@
 #include "h323/ras.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
-#include "sip/auth.h"
-#include "sip/sdp.h"
 #include "voip/accounting.h"
 
 namespace scidive::core {
@@ -40,6 +38,7 @@ std::string_view parse_proto_name(ParseProto p) {
 
 Distiller::Distiller(DistillerConfig config)
     : config_(std::move(config)),
+      sip_ports_(config_.sip_ports),
       reassembler_(pkt::Ipv4Reassembler::Config{.timeout = config_.reassembly_timeout}) {}
 
 std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
@@ -70,7 +69,8 @@ std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
     datagram = reassembled;
     ++stats_.datagrams_reassembled;
   }
-  auto udp = pkt::parse_udp_packet(datagram);
+  auto udp = ip.value().header.is_fragment() ? pkt::parse_udp_packet(datagram)
+                                             : pkt::parse_udp_packet(ip.value());
   if (!udp) {
     ++stats_.undecodable;
     stats_.parse_errors.record(ParseProto::kUdp, udp.error().code);
@@ -99,7 +99,7 @@ std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
   // Any port decode() would classify before the final RTP attempt makes the
   // packet ambiguous; odd ports additionally trigger the speculative RTCP
   // parse. All of those must take the full path.
-  if (config_.sip_ports.contains(u.dst_port) || config_.sip_ports.contains(u.src_port)) {
+  if (sip_ports_.contains(u.dst_port) || sip_ports_.contains(u.src_port)) {
     return std::nullopt;
   }
   if (u.dst_port == config_.acc_port || u.src_port == config_.acc_port) return std::nullopt;
@@ -116,49 +116,43 @@ std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
                  packet.timestamp};
 }
 
-SipFootprint Distiller::decode_sip(const sip::SipMessage& msg) {
-  SipFootprint s;
+void Distiller::decode_sip(const sip::MessageView& msg, SipFootprint& s) {
+  // Each header is parsed once, in place; only the footprint's own fields
+  // are copied out (trails outlive the datagram).
   s.is_request = msg.is_request();
   if (msg.is_request()) {
-    s.method = msg.method_text();
+    s.method = msg.method();
   } else {
     s.status_code = msg.status_code();
   }
-  auto cs = msg.cseq();
-  if (cs.ok()) {
-    s.cseq = cs.value().number;
-    s.cseq_method = cs.value().method;
+  const std::optional<sip::CSeqView> cs = msg.cseq();
+  if (cs) {
+    s.cseq = cs->number;
+    s.cseq_method = sip::method_from_name(cs->method);
   }
-  s.call_id = msg.call_id().value_or("");
-  auto from = msg.from();
-  if (from.ok()) {
-    s.from_aor = from.value().uri.address_of_record();
-    s.from_tag = from.value().tag().value_or("");
+  const auto call_id = msg.header(sip::HeaderId::kCallId);
+  if (call_id) s.call_id.assign(*call_id);
+  const std::optional<sip::NameAddrView> from = msg.from();
+  if (from) {
+    s.from_aor.assign(from->uri.address_of_record());
+    s.from_tag.assign(from->tag().value_or(std::string_view()));
   }
-  auto to = msg.to();
-  if (to.ok()) {
-    s.to_aor = to.value().uri.address_of_record();
-    s.to_tag = to.value().tag().value_or("");
+  const std::optional<sip::NameAddrView> to = msg.to();
+  if (to) {
+    s.to_aor.assign(to->uri.address_of_record());
+    s.to_tag.assign(to->tag().value_or(std::string_view()));
   }
-  s.well_formed = msg.well_formed();
-  if (auto auth = msg.headers().get("Authorization")) {
+  s.well_formed = sip::mandatory_headers_valid(msg.request_method(), call_id.has_value(), cs,
+                                               from.has_value(), to.has_value(),
+                                               msg.top_via_valid());
+  if (msg.has(sip::HeaderId::kAuthorization)) {
     s.has_auth = true;
-    auto creds = sip::DigestCredentials::parse(*auth);
-    if (creds.ok()) s.auth_response = creds.value().response;
+    if (auto response = msg.digest_response()) s.auth_response.assign(*response);
   }
-  s.has_challenge = msg.headers().has("WWW-Authenticate");
+  s.has_challenge = msg.has(sip::HeaderId::kWwwAuthenticate);
   s.body_len = msg.body().size();
-  auto sdp = sip::Sdp::parse(msg.body());
-  if (sdp.ok() && sdp.value().audio() != nullptr) {
-    if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-      s.sdp_media = pkt::Endpoint{*ip, sdp.value().audio()->port};
-  }
-  auto contact = msg.contact();
-  if (contact.ok()) {
-    if (auto ip = pkt::Ipv4Address::parse(contact.value().uri.host()))
-      s.contact = pkt::Endpoint{*ip, contact.value().uri.port_or_default()};
-  }
-  return s;
+  s.sdp_media = msg.sdp_media();
+  s.contact = msg.contact_endpoint();
 }
 
 Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len) {
@@ -169,7 +163,7 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
   fp.wire_len = wire_len;
 
   bool sip_port =
-      config_.sip_ports.contains(udp.dst_port) || config_.sip_ports.contains(udp.src_port);
+      sip_ports_.contains(udp.dst_port) || sip_ports_.contains(udp.src_port);
   bool acc_port = udp.dst_port == config_.acc_port || udp.src_port == config_.acc_port;
 
   if (acc_port) {
@@ -192,21 +186,20 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
   }
 
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(udp.payload);
-    if (msg.ok()) {
-      fp.protocol = Protocol::kSip;
-      fp.data = decode_sip(msg.value());
-      return fp;
-    }
-    // A SIP-port packet that does not parse is itself a signal (malformed
-    // SIP is event material for the billing-fraud rule).
-    stats_.parse_errors.record(ParseProto::kSip, msg.error().code);
+    sip::MessageView msg;
+    const sip::ParseStatus parsed = msg.parse(
+        std::string_view(reinterpret_cast<const char*>(udp.payload.data()), udp.payload.size()));
     fp.protocol = Protocol::kSip;
-    SipFootprint s;
-    s.well_formed = false;
-    s.is_request = true;
-    s.method = "<unparseable>";
-    fp.data = s;
+    Box<SipFootprint> s(SipFootprint{});
+    if (parsed.ok()) {
+      decode_sip(msg, *s);
+    } else {
+      // A SIP-port packet that does not parse is itself a signal (malformed
+      // SIP is event material for the billing-fraud rule); it keeps the
+      // default footprint: a request of unknown method, not well formed.
+      stats_.parse_errors.record(ParseProto::kSip, parsed.code);
+    }
+    fp.data = std::move(s);
     return fp;
   }
 

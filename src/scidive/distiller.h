@@ -14,8 +14,9 @@
 
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
+#include "pkt/port_set.h"
 #include "scidive/footprint.h"
-#include "sip/message.h"
+#include "sip/message_view.h"
 
 namespace scidive::core {
 
@@ -101,9 +102,10 @@ class Distiller {
 
  private:
   Footprint decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len);
-  static SipFootprint decode_sip(const sip::SipMessage& msg);
+  static void decode_sip(const sip::MessageView& msg, SipFootprint& s);
 
   DistillerConfig config_;
+  pkt::PortSet sip_ports_;  // config_.sip_ports, one bit lookup per test
   pkt::Ipv4Reassembler reassembler_;
   DistillerStats stats_;
 };

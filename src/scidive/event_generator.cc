@@ -107,7 +107,7 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
     if (sip.call_id.empty()) return;  // nothing further to mirror
   }
 
-  if (sip.is_request && sip.method == "INVITE") {
+  if (sip.is_request && sip.method == sip::Method::kInvite) {
     if (state.established) {
       // re-INVITE: the claimed sender's media moves to the SDP endpoint.
       std::string claimed = sip.from_aor;
@@ -153,7 +153,8 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
     return;
   }
 
-  if (sip.is_response() && sip.cseq_method == "INVITE" && sip.status_code == 200) {
+  if (sip.is_response() && sip.cseq_method == sip::Method::kInvite &&
+      sip.status_code == 200) {
     if (!state.established) {
       state.established = true;
       state.callee_tag = sip.to_tag;
@@ -167,7 +168,7 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
     return;
   }
 
-  if (sip.is_request && sip.method == "BYE") {
+  if (sip.is_request && sip.method == sip::Method::kBye) {
     state.torn_down = true;
     // Which party claims to be hanging up? Their media must fall silent.
     std::optional<pkt::Endpoint> watched;
@@ -190,7 +191,7 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
     return;
   }
 
-  if (sip.is_request && sip.method == "REGISTER") {
+  if (sip.is_request && sip.method == sip::Method::kRegister) {
     state.last_register_had_auth = sip.has_auth;
     state.last_auth_response = sip.auth_response;
     // Candidate for the location mirror; committed on the registrar's 200.
@@ -203,14 +204,15 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
     return;
   }
 
-  if (sip.is_request && sip.method == "MESSAGE") {
+  if (sip.is_request && sip.method == sip::Method::kMessage) {
     emit(out, Event{EventType::kImMessageSeen, session, fp.time, sip.from_aor, fp.src, 0,
                     "instant message claiming " + sip.from_aor});
     return;
   }
 
-  if (sip.is_response() && sip.cseq_method == "REGISTER" && sip.status_code == 200 &&
-      !state.pending_register_aor.empty() && state.pending_register_addr) {
+  if (sip.is_response() && sip.cseq_method == sip::Method::kRegister &&
+      sip.status_code == 200 && !state.pending_register_aor.empty() &&
+      state.pending_register_addr) {
     // Registrar accepted: commit the location (§3.2 billed-party check).
     registered_locations_[state.pending_register_aor].insert(*state.pending_register_addr);
     state.pending_register_aor.clear();
@@ -225,7 +227,11 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       emit(out, Event{EventType::kSipAuthChallenge, session, fp.time, sip.to_aor, fp.src, 0,
                       "digest challenge"});
       if (state.last_register_had_auth) {
-        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.src, 0,
+        // Keyed by the requester — the challenge's destination — not by the
+        // registrar that sent it: one proxy answers every user, so keying
+        // by the sender would sum every user's ambient failures into one
+        // "guesser".
+        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.dst, 0,
                         state.last_auth_response});
       }
     }
@@ -391,7 +397,7 @@ void EventGenerator::process_acc(const Footprint& fp, const AccFootprint& acc,
   if (sip_trail != nullptr) {
     matched = sip_trail->scan_newest_first([&](const Footprint& sfp) {
       const SipFootprint* sip = sfp.sip();
-      return sip != nullptr && sip->is_request && sip->method == "INVITE" &&
+      return sip != nullptr && sip->is_request && sip->method == sip::Method::kInvite &&
              sip->from_aor == acc.from_aor;
     });
   }

@@ -14,6 +14,7 @@
 #include "common/box.h"
 #include "common/clock.h"
 #include "pkt/addr.h"
+#include "sip/message_view.h"
 
 namespace scidive::core {
 
@@ -22,12 +23,14 @@ enum class Protocol { kSip, kRtp, kRtcp, kAcc, kH225, kRas, kUnknown };
 
 std::string_view protocol_name(Protocol p);
 
-/// Decoded summary of one SIP message.
+/// Decoded summary of one SIP message. The distiller fills it from views of
+/// the datagram (sip::MessageView); the strings here are where ownership
+/// begins, because a footprint outlives its datagram in the trail.
 struct SipFootprint {
   bool is_request = true;
-  std::string method;        // "INVITE", "BYE", ... (requests)
-  int status_code = 0;       // responses
-  std::string cseq_method;   // method the CSeq names (responses too)
+  sip::Method method = sip::Method::kUnknown;       // requests; kUnknown if not SIP
+  int status_code = 0;                              // responses
+  sip::Method cseq_method = sip::Method::kUnknown;  // method the CSeq names (responses too)
   uint32_t cseq = 0;
   std::string call_id;
   std::string from_aor;
@@ -43,6 +46,7 @@ struct SipFootprint {
   size_t body_len = 0;
 
   bool is_response() const { return !is_request; }
+  bool operator==(const SipFootprint&) const = default;
 };
 
 /// Decoded summary of one RTP packet.

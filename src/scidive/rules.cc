@@ -196,7 +196,7 @@ void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
   SimTime bye_time = 0;
   sip_trail->scan_newest_first([&](const Footprint& fp) {
     const SipFootprint* sip = fp.sip();
-    if (sip == nullptr || !sip->is_request || sip->method != "BYE") return false;
+    if (sip == nullptr || !sip->is_request || sip->method != sip::Method::kBye) return false;
     if (fp.time > event.time || event.time - fp.time > window_) return false;
     bye = sip;
     bye_time = fp.time;

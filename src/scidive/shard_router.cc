@@ -4,8 +4,7 @@
 
 #include "h323/q931.h"
 #include "h323/ras.h"
-#include "sip/message.h"
-#include "sip/sdp.h"
+#include "sip/message_view.h"
 #include "voip/accounting.h"
 
 namespace scidive::core {
@@ -59,6 +58,7 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
 
 ShardRouter::ShardRouter(ShardRouterConfig config, ShardDirectory* directory)
     : config_(std::move(config)),
+      sip_ports_(config_.sip_ports),
       reassembler_(pkt::Ipv4Reassembler::Config{.timeout = config_.reassembly_timeout}),
       directory_(directory) {
   if (config_.num_shards == 0) config_.num_shards = 1;
@@ -118,24 +118,27 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   auto peek = peek_udp(packet.data);
   if (!peek) return 0;  // undecodable — shard 0 keeps the error accounting
 
-  const bool sip_port = config_.sip_ports.contains(peek->src.port) ||
-                        config_.sip_ports.contains(peek->dst.port);
+  const bool sip_port = sip_ports_.contains(peek->src.port) || sip_ports_.contains(peek->dst.port);
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(peek->payload);
-    if (!msg.ok()) {
+    // The same single scan the shard's Distiller runs: accept/reject and
+    // every routing key agree with the footprint it will build.
+    sip::MessageView m;
+    if (!m.parse(std::string_view(reinterpret_cast<const char*>(peek->payload.data()),
+                                  peek->payload.size()))
+             .ok()) {
       // Unparseable SIP shares the "sip-anon" session on every engine.
       ++stats_.by_call_id;
       return session_shard("sip-anon");
     }
-    const sip::SipMessage& m = msg.value();
-    std::string cseq_method;
-    if (auto cs = m.cseq(); cs.ok()) {
-      cseq_method = cs.value().method;
+    sip::Method cseq_method = sip::Method::kUnknown;
+    if (auto cs = m.cseq()) {
+      cseq_method = sip::method_from_name(cs->method);
     } else if (m.is_request()) {
-      cseq_method = m.method_text();
+      cseq_method = m.method();
     }
-    std::string from_aor;
-    if (auto from = m.from(); from.ok()) from_aor = from.value().uri.address_of_record();
+    std::string_view from_aor;
+    if (auto from = m.from()) from_aor = from->uri.address_of_record();
+    const std::string_view call_id = m.header(sip::HeaderId::kCallId).value_or("");
 
     size_t shard;
     // REGISTER and MESSAGE feed per-principal rule state (the registration
@@ -147,29 +150,24 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     // via an override so mid-dialog packets whose From differs (a callee's
     // BYE) still land on the caller's shard.
     const bool by_principal =
-        cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
-        (config_.route_invite_by_caller && cseq_method == "INVITE");
+        cseq_method == sip::Method::kRegister || cseq_method == sip::Method::kMessage ||
+        (config_.route_invite_by_caller && cseq_method == sip::Method::kInvite);
     if (by_principal && !from_aor.empty()) {
       ++stats_.by_principal;
       shard = shard_of_key(from_aor);
       // This call-id's trails live wherever the principal's state lives;
       // pin the session so the rebalancer never separates them.
-      if (auto cid = m.call_id(); cid && !cid->empty()) {
-        const uint64_t cid_hash = ShardDirectory::key_hash(*cid);
+      if (!call_id.empty()) {
+        const uint64_t cid_hash = ShardDirectory::key_hash(call_id);
         directory_->mark_principal_routed(cid_hash);
-        if (cseq_method == "INVITE" || config_.pin_principal_call_ids)
+        if (cseq_method == sip::Method::kInvite || config_.pin_principal_call_ids)
           directory_->set_override(cid_hash, static_cast<uint32_t>(shard));
       }
     } else {
       ++stats_.by_call_id;
-      std::string call_id = m.call_id().value_or("");
       shard = session_shard(call_id.empty() ? std::string_view("sip-anon") : call_id);
     }
-    auto sdp = sip::Sdp::parse(m.body());
-    if (sdp.ok() && sdp.value().audio() != nullptr) {
-      if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-        learn_media({*ip, sdp.value().audio()->port}, shard);
-    }
+    if (auto media = m.sdp_media()) learn_media(*media, shard);
     return shard;
   }
 

@@ -19,8 +19,10 @@
 //   - anything else falls back to a symmetric 4-tuple hash, which keeps both
 //     directions of an unsignaled flow on one shard.
 //
-// Signaling is parsed with the real codecs (it is rare); the media hot path
-// is two hash lookups on trivially-hashable endpoints.
+// SIP is read with the same single-pass sip::MessageView scan the shard's
+// Distiller runs (no owning message is built); the other signaling planes
+// use their codecs, and the media hot path is two hash lookups on
+// trivially-hashable endpoints.
 //
 // Multi-producer operation: each capture thread owns one ShardRouter (the
 // reassembler and stats are per-stream), while the learned media map, the
@@ -37,6 +39,7 @@
 
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
+#include "pkt/port_set.h"
 #include "scidive/shard_directory.h"
 
 namespace scidive::core {
@@ -114,6 +117,7 @@ class ShardRouter {
   void learn_media(pkt::Endpoint media, size_t shard);
 
   ShardRouterConfig config_;
+  pkt::PortSet sip_ports_;  // config_.sip_ports, one bit lookup per test
   pkt::Ipv4Reassembler reassembler_;
   /// Shared routing state (media endpoint -> shard, affinity overrides,
   /// principal pins). Entries are only ever added or overwritten (mirroring

@@ -8,30 +8,6 @@ namespace {
 
 std::string quote(std::string_view s) { return "\"" + std::string(s) + "\""; }
 
-/// Parse `Digest key="value", key2="value2", ...` into a map.
-Result<std::map<std::string, std::string, std::less<>>> parse_digest_params(
-    std::string_view header_value) {
-  header_value = str::trim(header_value);
-  if (!str::istarts_with(header_value, "Digest"))
-    return Error{Errc::kUnsupported, "not a Digest header"};
-  header_value.remove_prefix(6);
-
-  std::map<std::string, std::string, std::less<>> params;
-  for (auto part : str::split(header_value, ',')) {
-    part = str::trim(part);
-    if (part.empty()) continue;
-    auto eq = str::split_once(part, '=');
-    if (!eq) return Error{Errc::kMalformed, "digest param without '='"};
-    std::string_view key = str::trim(eq->first);
-    std::string_view value = str::trim(eq->second);
-    if (value.size() >= 2 && value.front() == '"' && value.back() == '"')
-      value = value.substr(1, value.size() - 2);
-    if (key.empty()) return Error{Errc::kMalformed, "empty digest param name"};
-    params[str::to_lower(key)] = std::string(value);
-  }
-  return params;
-}
-
 }  // namespace
 
 std::string DigestChallenge::to_header_value() const {
@@ -39,16 +15,15 @@ std::string DigestChallenge::to_header_value() const {
 }
 
 Result<DigestChallenge> DigestChallenge::parse(std::string_view header_value) {
-  auto params = parse_digest_params(header_value);
-  if (!params) return params.error();
-  DigestChallenge c;
-  auto realm = params.value().find("realm");
-  auto nonce = params.value().find("nonce");
-  if (realm == params.value().end() || nonce == params.value().end())
-    return Error{Errc::kMalformed, "challenge needs realm and nonce"};
-  c.realm = realm->second;
-  c.nonce = nonce->second;
-  return c;
+  DigestParamCursor params(header_value);
+  std::optional<std::string_view> realm, nonce;
+  for (std::string_view k, v; params.next(k, v);) {
+    if (str::iequals(k, "realm")) realm = v;
+    else if (str::iequals(k, "nonce")) nonce = v;
+  }
+  if (!params.status().ok()) return params.status().error();
+  if (!realm || !nonce) return Error{Errc::kMalformed, "challenge needs realm and nonce"};
+  return DigestChallenge{std::string(*realm), std::string(*nonce)};
 }
 
 std::string DigestCredentials::to_header_value() const {
@@ -56,21 +31,72 @@ std::string DigestCredentials::to_header_value() const {
          quote(nonce) + ", uri=" + quote(uri) + ", response=" + quote(response);
 }
 
-Result<DigestCredentials> DigestCredentials::parse(std::string_view header_value) {
-  auto params = parse_digest_params(header_value);
-  if (!params) return params.error();
-  DigestCredentials c;
-  const auto& p = params.value();
-  for (const char* required : {"username", "realm", "nonce", "uri", "response"}) {
-    if (!p.contains(required))
-      return Error{Errc::kMalformed, std::string("credentials missing ") + required};
+DigestParamCursor::DigestParamCursor(std::string_view header_value) : parts_({}, ',') {
+  header_value = str::trim(header_value);
+  if (!str::istarts_with(header_value, "Digest")) {
+    status_ = parse_fail(Errc::kUnsupported, "not a Digest header");
+    return;
   }
-  c.username = p.find("username")->second;
-  c.realm = p.find("realm")->second;
-  c.nonce = p.find("nonce")->second;
-  c.uri = p.find("uri")->second;
-  c.response = p.find("response")->second;
-  return c;
+  header_value.remove_prefix(6);
+  parts_ = str::SplitCursor(header_value, ',');
+}
+
+bool DigestParamCursor::next(std::string_view& key, std::string_view& value) {
+  if (!status_.ok()) return false;
+  for (std::string_view part; parts_.next(part);) {
+    part = str::trim(part);
+    if (part.empty()) continue;
+    auto eq = str::split_once(part, '=');
+    if (!eq) {
+      status_ = parse_fail(Errc::kMalformed, "digest param without '='");
+      return false;
+    }
+    key = str::trim(eq->first);
+    value = str::trim(eq->second);
+    if (value.size() >= 2 && value.front() == '"' && value.back() == '"')
+      value = value.substr(1, value.size() - 2);
+    if (key.empty()) {
+      status_ = parse_fail(Errc::kMalformed, "empty digest param name");
+      return false;
+    }
+    return true;
+  }
+  return false;
+}
+
+ParseStatus DigestCredentialsView::parse(std::string_view header_value,
+                                         DigestCredentialsView& out) {
+  DigestParamCursor params(header_value);
+  std::string_view* const fields[] = {&out.username, &out.realm, &out.nonce, &out.uri,
+                                      &out.response};
+  static constexpr const char* kNames[] = {"username", "realm", "nonce", "uri", "response"};
+  static constexpr const char* kMissing[] = {
+      "credentials missing username", "credentials missing realm",
+      "credentials missing nonce", "credentials missing uri", "credentials missing response"};
+  unsigned seen = 0;
+  for (std::string_view k, v; params.next(k, v);) {
+    for (unsigned i = 0; i < 5; ++i) {
+      if (str::iequals(k, kNames[i])) {
+        *fields[i] = v;
+        seen |= 1u << i;
+        break;
+      }
+    }
+  }
+  if (!params.status().ok()) return params.status();
+  for (unsigned i = 0; i < 5; ++i) {
+    if ((seen & (1u << i)) == 0) return parse_fail(Errc::kMalformed, kMissing[i]);
+  }
+  return {};
+}
+
+Result<DigestCredentials> DigestCredentials::parse(std::string_view header_value) {
+  DigestCredentialsView view;
+  if (ParseStatus st = DigestCredentialsView::parse(header_value, view); !st.ok())
+    return st.error();
+  return DigestCredentials{std::string(view.username), std::string(view.realm),
+                           std::string(view.nonce), std::string(view.uri),
+                           std::string(view.response)};
 }
 
 std::string compute_digest_response(std::string_view username, std::string_view realm,

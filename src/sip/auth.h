@@ -14,8 +14,37 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "sip/scan.h"
 
 namespace scidive::sip {
+
+/// The digest-params grammar: `Digest k=v, k2="v2", ...`. Yields each
+/// param in order with surrounding quotes stripped; keys compare
+/// case-insensitively and the last occurrence of a key wins. A param
+/// without '=' or with an empty name fails the whole list.
+class DigestParamCursor {
+ public:
+  explicit DigestParamCursor(std::string_view header_value);
+
+  /// False at the end of the list or on error; status() tells which.
+  bool next(std::string_view& key, std::string_view& value);
+  ParseStatus status() const { return status_; }
+
+ private:
+  str::SplitCursor parts_;
+  ParseStatus status_;
+};
+
+/// Authorization credentials as slices of the header value.
+struct DigestCredentialsView {
+  std::string_view username;
+  std::string_view realm;
+  std::string_view nonce;
+  std::string_view uri;
+  std::string_view response;
+
+  static ParseStatus parse(std::string_view header_value, DigestCredentialsView& out);
+};
 
 /// WWW-Authenticate challenge parameters.
 struct DigestChallenge {

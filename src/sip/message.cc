@@ -4,34 +4,6 @@
 
 namespace scidive::sip {
 
-std::string_view method_name(Method m) {
-  switch (m) {
-    case Method::kInvite: return "INVITE";
-    case Method::kAck: return "ACK";
-    case Method::kBye: return "BYE";
-    case Method::kCancel: return "CANCEL";
-    case Method::kRegister: return "REGISTER";
-    case Method::kOptions: return "OPTIONS";
-    case Method::kMessage: return "MESSAGE";
-    case Method::kInfo: return "INFO";
-    case Method::kUnknown: return "UNKNOWN";
-  }
-  return "UNKNOWN";
-}
-
-Method method_from_name(std::string_view name) {
-  // Method names are case-sensitive tokens in SIP; match exactly.
-  if (name == "INVITE") return Method::kInvite;
-  if (name == "ACK") return Method::kAck;
-  if (name == "BYE") return Method::kBye;
-  if (name == "CANCEL") return Method::kCancel;
-  if (name == "REGISTER") return Method::kRegister;
-  if (name == "OPTIONS") return Method::kOptions;
-  if (name == "MESSAGE") return Method::kMessage;
-  if (name == "INFO") return Method::kInfo;
-  return Method::kUnknown;
-}
-
 SipMessage SipMessage::request(Method method, SipUri request_uri) {
   SipMessage m;
   m.is_request_ = true;
@@ -53,99 +25,28 @@ Result<SipMessage> SipMessage::parse(std::span<const uint8_t> bytes) {
   return parse(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
-namespace {
-
-/// Pop one header line, honoring RFC 2822-style folding (continuation lines
-/// begin with whitespace). Unfolded lines — the overwhelming common case —
-/// are returned as a view into the input; only a folded line is assembled
-/// into `fold_buf` (the returned view then points at the buffer).
-std::optional<std::string_view> next_logical_line(std::string_view& text,
-                                                  std::string& fold_buf) {
-  if (text.empty()) return std::nullopt;
-  std::string_view first;
-  {
-    size_t eol = str::find_crlf(text);
-    if (eol == std::string_view::npos) {
-      first = text;
-      text = {};
-    } else {
-      first = text.substr(0, eol);
-      text.remove_prefix(eol + 2);
-    }
-  }
-  if (text.empty() || (text.front() != ' ' && text.front() != '\t')) {
-    return first;  // zero-copy fast path
-  }
-  fold_buf.assign(first);
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    size_t eol = str::find_crlf(text);
-    std::string_view raw;
-    if (eol == std::string_view::npos) {
-      raw = text;
-      text = {};
-    } else {
-      raw = text.substr(0, eol);
-      text.remove_prefix(eol + 2);
-    }
-    fold_buf += raw;
-  }
-  return std::string_view(fold_buf);
-}
-
-}  // namespace
-
 Result<SipMessage> SipMessage::parse(std::string_view text) {
+  struct Collect final : HeaderVisitor {
+    Headers* headers;
+    explicit Collect(Headers* h) : headers(h) {}
+    void on_header(std::string_view name, std::string_view value) override {
+      headers->add(std::string(name), std::string(value));
+    }
+  };
   SipMessage msg;
-  std::string fold_buf;
-
-  auto start = next_logical_line(text, fold_buf);
-  if (!start || start->empty()) return Error{Errc::kMalformed, "missing start line"};
-
-  if (str::istarts_with(*start, "SIP/2.0 ")) {
-    // Status line: SIP/2.0 code reason
-    msg.is_request_ = false;
-    std::string_view rest = start->substr(8);
-    auto sp = str::split_once(rest, ' ');
-    std::string_view code_text = sp ? sp->first : rest;
-    auto code = str::parse_u32(str::trim(code_text));
-    if (!code || *code < 100 || *code > 699)
-      return Error{Errc::kMalformed, "bad status code"};
-    msg.status_code_ = static_cast<int>(*code);
-    msg.reason_ = sp ? std::string(str::trim(sp->second)) : "";
+  Collect collect(&msg.headers_);
+  MessageView view;
+  if (ParseStatus st = view.parse(text, &collect); !st.ok()) return st.error();
+  msg.is_request_ = view.is_request();
+  if (view.is_request()) {
+    msg.method_ = view.method();
+    msg.method_text_ = std::string(view.method_text());
+    msg.request_uri_ = SipUri::from_view(view.request_uri());
   } else {
-    // Request line: METHOD uri SIP/2.0
-    auto parts = str::split(*start, ' ');
-    if (parts.size() != 3) return Error{Errc::kMalformed, "request line needs 3 tokens"};
-    if (parts[2] != "SIP/2.0") return Error{Errc::kUnsupported, "not SIP/2.0"};
-    if (parts[0].empty()) return Error{Errc::kMalformed, "empty method"};
-    msg.method_text_ = std::string(parts[0]);
-    msg.method_ = method_from_name(parts[0]);
-    auto uri = SipUri::parse(parts[1]);
-    if (!uri) return uri.error();
-    msg.request_uri_ = std::move(uri.value());
+    msg.status_code_ = view.status_code();
+    msg.reason_ = std::string(view.reason());
   }
-
-  // Headers until the empty line.
-  while (true) {
-    auto line = next_logical_line(text, fold_buf);
-    if (!line) return Error{Errc::kTruncated, "no end of headers"};
-    if (line->empty()) break;
-    auto colon = str::split_once(*line, ':');
-    if (!colon) return Error{Errc::kMalformed, "header without colon: " + std::string(*line)};
-    std::string_view name = str::trim(colon->first);
-    if (name.empty()) return Error{Errc::kMalformed, "empty header name"};
-    msg.headers_.add(std::string(name), std::string(str::trim(colon->second)));
-  }
-
-  // Body: take Content-Length if present and valid, else the rest.
-  if (auto cl_text = msg.headers_.get("Content-Length")) {
-    auto cl = str::parse_u64(str::trim(*cl_text));
-    if (!cl) return Error{Errc::kMalformed, "bad Content-Length"};
-    if (*cl > text.size()) return Error{Errc::kTruncated, "body shorter than Content-Length"};
-    msg.body_ = std::string(text.substr(0, *cl));
-  } else {
-    msg.body_ = std::string(text);
-  }
+  msg.body_ = std::string(view.body());
   return msg;
 }
 
@@ -216,10 +117,7 @@ Result<NameAddr> SipMessage::contact() const {
 Result<Via> SipMessage::top_via() const {
   auto v = headers_.get("Via");
   if (!v) return Error{Errc::kNotFound, "no Via"};
-  // Multiple Vias may be comma-joined in one field; the top one is first.
-  std::string_view text = *v;
-  if (auto comma = str::split_once(text, ',')) text = comma->first;
-  return Via::parse(text);
+  return Via::parse(top_via_value(*v));
 }
 
 std::optional<uint32_t> SipMessage::expires() const {
@@ -235,21 +133,15 @@ std::optional<uint32_t> SipMessage::max_forwards() const {
 }
 
 bool SipMessage::well_formed() const {
-  // RFC 3261 §8.1.1: To, From, CSeq, Call-ID, Via are mandatory (we relax
-  // Max-Forwards, which many 2004 clients omitted).
-  if (!call_id().has_value()) return false;
-  if (!cseq().ok()) return false;
-  if (!from().ok()) return false;
-  if (!to().ok()) return false;
-  if (!top_via().ok()) return false;
+  std::optional<std::string_view> request_method;
   if (is_request_) {
-    auto cs = cseq();
-    // CSeq method must match the request method.
-    if (cs.value().method != (method_text_.empty() ? std::string(method_name(method_))
-                                                   : method_text_))
-      return false;
+    request_method = method_text_.empty() ? method_name(method_) : std::string_view(method_text_);
   }
-  return true;
+  return mandatory_headers_valid(request_method, headers_.has("Call-ID"),
+                                 parse_cseq(headers_.get("CSeq")),
+                                 parse_name_addr(headers_.get("From")).has_value(),
+                                 parse_name_addr(headers_.get("To")).has_value(),
+                                 top_via_valid(headers_.get("Via")));
 }
 
 }  // namespace scidive::sip

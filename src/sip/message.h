@@ -10,24 +10,10 @@
 
 #include "common/result.h"
 #include "sip/headers.h"
+#include "sip/message_view.h"
 #include "sip/uri.h"
 
 namespace scidive::sip {
-
-enum class Method {
-  kInvite,
-  kAck,
-  kBye,
-  kCancel,
-  kRegister,
-  kOptions,
-  kMessage,  // instant messaging (RFC 3428)
-  kInfo,
-  kUnknown,
-};
-
-std::string_view method_name(Method m);
-Method method_from_name(std::string_view name);
 
 /// Response status classes the IDS reasons about.
 inline int status_class(int code) { return code / 100; }
@@ -39,9 +25,9 @@ class SipMessage {
   /// Build a response skeleton.
   static SipMessage response(int status_code, std::string reason);
 
-  /// Parse from wire bytes. Strict on structure (start line, header syntax
-  /// of the structured headers is validated lazily), tolerant of unknown
-  /// headers. Body length is governed by Content-Length when present.
+  /// Parse from wire bytes: MessageView::parse (same acceptance rules)
+  /// plus owning copies of the start line, every header and the body.
+  /// Structured headers are validated lazily by the accessors below.
   static Result<SipMessage> parse(std::string_view text);
   static Result<SipMessage> parse(std::span<const uint8_t> bytes);
 

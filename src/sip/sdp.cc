@@ -4,69 +4,145 @@
 
 namespace scidive::sip {
 
-Result<Sdp> Sdp::parse(std::string_view text) {
-  Sdp sdp;
-  bool saw_version = false;
-  for (auto raw_line : str::split(text, '\n')) {
-    std::string_view line = str::trim(raw_line);
+namespace {
+
+/// Splits `value` on single spaces exactly as split() would: stores the
+/// first `n` fields, sets `rest` to the text after the n-th field's
+/// separator, and returns the total field count.
+size_t fields(std::string_view value, std::string_view* out, size_t n, std::string_view* rest) {
+  str::SplitCursor cursor(value, ' ');
+  size_t count = 0;
+  for (std::string_view f; cursor.next(f); ++count) {
+    if (count < n) out[count] = f;
+    if (count + 1 == n && rest != nullptr) *rest = cursor.rest();
+  }
+  return count;
+}
+
+}  // namespace
+
+bool SdpScanner::next(SdpLine& out) {
+  if (!status_.ok()) return false;
+  for (std::string_view raw; lines_.next(raw);) {
+    std::string_view line = str::trim(raw);
     if (line.empty()) continue;
-    if (line.size() < 2 || line[1] != '=')
-      return Error{Errc::kMalformed, "SDP line without '='"};
-    char type = line[0];
-    std::string_view value = line.substr(2);
-    switch (type) {
+    if (line.size() < 2 || line[1] != '=') {
+      status_ = parse_fail(Errc::kMalformed, "SDP line without '='");
+      return false;
+    }
+    out.type = line[0];
+    out.value = line.substr(2);
+    std::string_view f[6];
+    switch (out.type) {
       case 'v':
-        if (str::trim(value) != "0") return Error{Errc::kUnsupported, "SDP version != 0"};
-        saw_version = true;
+        if (str::trim(out.value) != "0") {
+          status_ = parse_fail(Errc::kUnsupported, "SDP version != 0");
+          return false;
+        }
+        saw_version_ = true;
         break;
       case 'o': {
         // o=<user> <sess-id> <sess-version> IN IP4 <addr>
-        auto parts = str::split(value, ' ');
-        if (parts.size() < 6) return Error{Errc::kMalformed, "short o= line"};
-        sdp.origin_user = std::string(parts[0]);
-        auto sid = str::parse_u64(parts[1]);
-        auto sver = str::parse_u64(parts[2]);
-        if (!sid || !sver) return Error{Errc::kMalformed, "bad o= ids"};
-        sdp.session_id = *sid;
-        sdp.session_version = *sver;
-        sdp.origin_addr = std::string(parts[5]);
+        if (fields(out.value, f, 6, nullptr) < 6) {
+          status_ = parse_fail(Errc::kMalformed, "short o= line");
+          return false;
+        }
+        auto sid = str::parse_u64(f[1]);
+        auto sver = str::parse_u64(f[2]);
+        if (!sid || !sver) {
+          status_ = parse_fail(Errc::kMalformed, "bad o= ids");
+          return false;
+        }
+        out.origin_user = f[0];
+        out.session_id = *sid;
+        out.session_version = *sver;
+        out.origin_addr = f[5];
         break;
       }
-      case 's':
-        sdp.session_name = std::string(value);
-        break;
-      case 'c': {
+      case 'c':
         // c=IN IP4 <addr>
-        auto parts = str::split(value, ' ');
-        if (parts.size() != 3 || parts[0] != "IN" || parts[1] != "IP4")
-          return Error{Errc::kMalformed, "unsupported c= line"};
-        sdp.connection_addr = std::string(parts[2]);
+        if (fields(out.value, f, 3, nullptr) != 3 || f[0] != "IN" || f[1] != "IP4") {
+          status_ = parse_fail(Errc::kMalformed, "unsupported c= line");
+          return false;
+        }
+        out.addr = f[2];
         break;
-      }
       case 'm': {
         // m=audio <port> RTP/AVP <pt...>
-        auto parts = str::split(value, ' ');
-        if (parts.size() < 3) return Error{Errc::kMalformed, "short m= line"};
-        SdpMedia m;
-        m.type = std::string(parts[0]);
-        auto port = str::parse_u16(parts[1]);
-        if (!port) return Error{Errc::kMalformed, "bad m= port"};
-        m.port = *port;
-        m.proto = std::string(parts[2]);
-        for (size_t i = 3; i < parts.size(); ++i) {
-          auto pt = str::parse_u32(parts[i]);
-          if (!pt || *pt > 127) return Error{Errc::kMalformed, "bad payload type"};
-          m.payload_types.push_back(static_cast<uint8_t>(*pt));
+        std::string_view formats;
+        const size_t n = fields(out.value, f, 3, &formats);
+        if (n < 3) {
+          status_ = parse_fail(Errc::kMalformed, "short m= line");
+          return false;
         }
-        sdp.media.push_back(std::move(m));
+        auto port = str::parse_u16(f[1]);
+        if (!port) {
+          status_ = parse_fail(Errc::kMalformed, "bad m= port");
+          return false;
+        }
+        if (n > 3) {
+          if (!for_each_payload_type(formats, [](uint8_t) {})) {
+            status_ = parse_fail(Errc::kMalformed, "bad payload type");
+            return false;
+          }
+        }
+        out.formats = n > 3 ? formats : std::string_view();
+        out.media_type = f[0];
+        out.port = *port;
+        out.proto = f[2];
         break;
       }
       default:
         break;  // a=, t=, b= etc.: tolerated, ignored
     }
+    return true;
   }
-  if (!saw_version) return Error{Errc::kMalformed, "missing v=0"};
+  if (!saw_version_) status_ = parse_fail(Errc::kMalformed, "missing v=0");
+  return false;
+}
+
+Result<Sdp> Sdp::parse(std::string_view text) {
+  Sdp sdp;
+  SdpScanner scanner(text);
+  for (SdpLine line; scanner.next(line);) {
+    switch (line.type) {
+      case 'o':
+        sdp.origin_user = std::string(line.origin_user);
+        sdp.session_id = line.session_id;
+        sdp.session_version = line.session_version;
+        sdp.origin_addr = std::string(line.origin_addr);
+        break;
+      case 's': sdp.session_name = std::string(line.value); break;
+      case 'c': sdp.connection_addr = std::string(line.addr); break;
+      case 'm': {
+        SdpMedia m;
+        m.type = std::string(line.media_type);
+        m.port = line.port;
+        m.proto = std::string(line.proto);
+        SdpScanner::for_each_payload_type(line.formats,
+                                          [&](uint8_t pt) { m.payload_types.push_back(pt); });
+        sdp.media.push_back(std::move(m));
+        break;
+      }
+      default: break;
+    }
+  }
+  if (!scanner.status().ok()) return scanner.status().error();
   return sdp;
+}
+
+std::optional<pkt::Endpoint> sdp_audio_endpoint(std::string_view body) {
+  std::string_view addr;
+  std::optional<uint16_t> audio_port;
+  SdpScanner scanner(body);
+  for (SdpLine line; scanner.next(line);) {
+    if (line.type == 'c') addr = line.addr;
+    if (line.type == 'm' && !audio_port && line.media_type == "audio") audio_port = line.port;
+  }
+  if (!scanner.status().ok() || !audio_port) return std::nullopt;
+  auto ip = pkt::Ipv4Address::parse(addr);
+  if (!ip) return std::nullopt;
+  return pkt::Endpoint{*ip, *audio_port};
 }
 
 std::string Sdp::to_string() const {

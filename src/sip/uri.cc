@@ -4,55 +4,56 @@
 
 namespace scidive::sip {
 
-Result<SipUri> SipUri::parse(std::string_view text) {
+ParseStatus UriView::parse(std::string_view text, UriView& out) {
   text = str::trim(text);
-  if (!str::istarts_with(text, "sip:"))
-    return Error{Errc::kMalformed, "URI scheme must be sip:"};
+  if (!str::istarts_with(text, "sip:")) return parse_fail(Errc::kMalformed, "URI scheme must be sip:");
   text.remove_prefix(4);
-  if (text.empty()) return Error{Errc::kMalformed, "empty URI"};
+  if (text.empty()) return parse_fail(Errc::kMalformed, "empty URI");
 
-  SipUri uri;
-
+  out = UriView{};
   // Split off ;params first (they follow host[:port]).
   std::string_view core = text;
-  std::string_view params;
-  if (auto split = str::split_once(text, ';')) {
-    core = split->first;
-    params = split->second;
+  if (const size_t semi = str::find_byte(text, ';'); semi != std::string_view::npos) {
+    core = text.substr(0, semi);
+    out.params = text.substr(semi + 1);
   }
 
   // user@host or just host.
   std::string_view hostport = core;
-  if (auto at = str::split_once(core, '@')) {
-    if (at->first.empty()) return Error{Errc::kMalformed, "empty user before @"};
-    uri.user_ = std::string(at->first);
-    hostport = at->second;
+  if (const size_t at = str::find_byte(core, '@'); at != std::string_view::npos) {
+    if (at == 0) return parse_fail(Errc::kMalformed, "empty user before @");
+    out.user = core.substr(0, at);
+    hostport = core.substr(at + 1);
   }
-  if (auto colon = str::split_once(hostport, ':')) {
-    auto port = str::parse_u16(colon->second);
-    if (!port || *port == 0) return Error{Errc::kMalformed, "bad port"};
-    uri.port_ = *port;
-    hostport = colon->first;
+  // host[:port]: the host runs to the first ':' and may hold only
+  // alphanumerics and . - _; a port must be a non-zero u16.
+  size_t i = 0;
+  for (; i < hostport.size() && hostport[i] != ':'; ++i) {
+    const char c = hostport[i];
+    if (!(str::is_alnum(c) || c == '.' || c == '-' || c == '_'))
+      return parse_fail(Errc::kMalformed, "bad host character");
   }
-  if (hostport.empty()) return Error{Errc::kMalformed, "empty host"};
-  for (char c : hostport) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '-' || c == '_'))
-      return Error{Errc::kMalformed, "bad host character"};
+  if (i < hostport.size()) {
+    auto port = str::parse_u16(hostport.substr(i + 1));
+    if (!port || *port == 0) return parse_fail(Errc::kMalformed, "bad port");
+    out.port = *port;
   }
-  uri.host_ = std::string(hostport);
+  if (i == 0) return parse_fail(Errc::kMalformed, "empty host");
+  out.host = hostport.substr(0, i);
+  return {};
+}
 
-  if (!params.empty()) {
-    for (auto p : str::split(params, ';')) {
-      p = str::trim(p);
-      if (p.empty()) continue;
-      if (auto eq = str::split_once(p, '=')) {
-        uri.params_[std::string(eq->first)] = std::string(eq->second);
-      } else {
-        uri.params_[std::string(p)] = "";
-      }
-    }
-  }
+SipUri SipUri::from_view(const UriView& view) {
+  SipUri uri(std::string(view.user), std::string(view.host), view.port);
+  ParamCursor params(view.params, /*trim_key_value=*/false);
+  for (std::string_view k, v; params.next(k, v);) uri.params_[std::string(k)] = std::string(v);
   return uri;
+}
+
+Result<SipUri> SipUri::parse(std::string_view text) {
+  UriView view;
+  if (ParseStatus st = UriView::parse(text, view); !st.ok()) return st.error();
+  return from_view(view);
 }
 
 std::optional<std::string> SipUri::param(std::string_view name) const {

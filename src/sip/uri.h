@@ -7,8 +7,29 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "sip/scan.h"
 
 namespace scidive::sip {
+
+/// The URI grammar as slices of the input: sip:[user@]host[:port][;params].
+/// `params` is the raw list after the first ';' (walk it with ParamCursor,
+/// keys and values untrimmed).
+struct UriView {
+  std::string_view user;
+  std::string_view host;
+  uint16_t port = 0;  // 0: unspecified
+  std::string_view params;
+
+  static ParseStatus parse(std::string_view text, UriView& out);
+
+  /// user@host, or host alone: a contiguous slice of the scanned text
+  /// (user, '@' and host are adjacent in the grammar).
+  std::string_view address_of_record() const {
+    if (user.empty()) return host;
+    return std::string_view(user.data(),
+                            static_cast<size_t>(host.data() + host.size() - user.data()));
+  }
+};
 
 class SipUri {
  public:
@@ -17,6 +38,8 @@ class SipUri {
       : user_(std::move(user)), host_(std::move(host)), port_(port) {}
 
   static Result<SipUri> parse(std::string_view text);
+  /// Owning copy of a scanned URI.
+  static SipUri from_view(const UriView& view);
 
   const std::string& user() const { return user_; }
   const std::string& host() const { return host_; }

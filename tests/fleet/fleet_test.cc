@@ -257,6 +257,36 @@ TEST(FleetCorrelation, DigestGuessingAggregatesFleetWide) {
   EXPECT_EQ(fleet_alerts, 1u);
 }
 
+TEST(FleetCorrelation, BenignCarrierMixRaisesNoAlertsAtOneAndTwoNodes) {
+  // The signaling-heavy carrier benchmark mix: registration churn with the
+  // default ambient digest-failure rate, all answered by one proxy. Auth
+  // failures are keyed by the requester, so the users' ambient failures
+  // never add up to one "guesser" at the proxy's address.
+  capture::CarrierMixConfig mix;
+  mix.seed = 1;
+  mix.provisioned_users = 1'000'000;
+  mix.call_rate_hz = 400.0;
+  mix.mean_call_hold_sec = 1.0;
+  mix.im_rate_hz = 400.0;
+  mix.register_rate_hz = 400.0;
+  mix.max_packets = 150'000;
+  capture::CarrierMixSource source(mix);
+  const std::vector<pkt::Packet> stream = capture::read_all(source);
+  for (const std::vector<std::string>& nodes :
+       {std::vector<std::string>{"node-0"}, std::vector<std::string>{"node-0", "node-1"}}) {
+    FleetConfig fc;
+    fc.node.engine.num_shards = 1;
+    fc.node.engine.engine.obs.time_stages = false;
+    Fleet fleet(fc, nodes);
+    for (const pkt::Packet& p : stream) fleet.on_packet(p);
+    fleet.flush();
+    const std::vector<core::Alert> alerts = fleet.merged_alerts();
+    EXPECT_TRUE(alerts.empty()) << nodes.size() << " node(s): " << alerts.size()
+                                << " alert(s), first: "
+                                << (alerts.empty() ? "" : alerts[0].message);
+  }
+}
+
 TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {
   // SPIT carrier mix through a two-node inline fleet: whichever node's
   // graylist rule convicts the spammer, the verdict gossips and every other

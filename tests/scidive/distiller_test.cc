@@ -42,7 +42,7 @@ TEST(Distiller, DecodesSip) {
   EXPECT_EQ(fp->src, kB);
   ASSERT_NE(fp->sip(), nullptr);
   EXPECT_TRUE(fp->sip()->is_request);
-  EXPECT_EQ(fp->sip()->method, "BYE");
+  EXPECT_EQ(fp->sip()->method, sip::Method::kBye);
   EXPECT_EQ(fp->sip()->call_id, "call-1");
   EXPECT_EQ(fp->sip()->from_aor, "bob@lab.net");
   EXPECT_EQ(fp->sip()->from_tag, "tb");

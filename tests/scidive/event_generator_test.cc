@@ -216,7 +216,7 @@ TEST(EventGenerator, MalformedSipEvent) {
   SipFootprint s;
   s.well_formed = false;
   s.is_request = true;
-  s.method = "<unparseable>";
+  s.method = sip::Method::kUnknown;
   fp.data = s;
   h.feed(std::move(fp));
   EXPECT_EQ(h.count(EventType::kSipMalformed), 1u);

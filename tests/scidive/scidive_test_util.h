@@ -31,8 +31,8 @@ inline Footprint sip_request(std::string method, std::string call_id, std::strin
   FootprintBuilder b(Protocol::kSip, time, src, dst);
   SipFootprint s;
   s.is_request = true;
-  s.method = method;
-  s.cseq_method = method;
+  s.method = sip::method_from_name(method);
+  s.cseq_method = s.method;
   s.cseq = 1;
   s.call_id = std::move(call_id);
   s.from_aor = std::move(from_aor);
@@ -54,7 +54,7 @@ inline Footprint sip_response(int code, std::string cseq_method, std::string cal
   SipFootprint s;
   s.is_request = false;
   s.status_code = code;
-  s.cseq_method = std::move(cseq_method);
+  s.cseq_method = sip::method_from_name(cseq_method);
   s.cseq = 1;
   s.call_id = std::move(call_id);
   s.from_aor = std::move(from_aor);

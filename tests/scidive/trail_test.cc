@@ -17,7 +17,7 @@ TEST(Trail, AppendsAndTracksTimes) {
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.first_time(), msec(10));
   EXPECT_EQ(t.last_time(), msec(50));
-  EXPECT_EQ(t.back().sip()->method, "BYE");
+  EXPECT_EQ(t.back().sip()->method, sip::Method::kBye);
   EXPECT_EQ(t.key().to_string(), "s1/sip");
 }
 
@@ -101,7 +101,7 @@ TEST(Trail, ScanNewestFirst) {
   int visited = 0;
   bool found = t.scan_newest_first([&](const Footprint& fp) {
     ++visited;
-    return fp.sip()->method == "BYE";
+    return fp.sip()->method == sip::Method::kBye;
   });
   EXPECT_TRUE(found);
   EXPECT_EQ(visited, 3);  // newest-first: INFO(4), INFO(3), BYE(2)
